@@ -61,6 +61,7 @@ class OrderedDiscreteKernel(Kernel):
     """
 
     name = "ordered_discrete"
+    continuous = False
 
     # -- standardised forms --------------------------------------------
     # pdf/cdf on the standardised axis are not meaningful for a discrete

@@ -47,6 +47,31 @@ __all__ = ["KernelDensityEstimator"]
 _BATCH_ELEMENT_BUDGET: Optional[int] = None
 
 
+def _columns_by_kernel(kernels: Sequence[Kernel]) -> tuple:
+    """``(kernel, column indices)`` pairs, one per distinct kernel."""
+    groups: dict = {}
+    for j, kernel in enumerate(kernels):
+        groups.setdefault(kernel, []).append(j)
+    return tuple(
+        (kernel, np.array(cols, dtype=np.intp))
+        for kernel, cols in groups.items()
+    )
+
+
+def _leave_one_out_products(masses: np.ndarray) -> np.ndarray:
+    """``(d, s)`` products over all dimensions but one, from ``(s, d)``.
+
+    Zero-safe (no division): prefix times suffix cumulative products
+    along the dimension axis.
+    """
+    masses = masses.T
+    prefix = np.ones(masses.shape, dtype=np.float64)
+    np.cumprod(masses[:-1], axis=0, out=prefix[1:])
+    suffix = np.ones(masses.shape, dtype=np.float64)
+    np.cumprod(masses[:0:-1], axis=0, out=suffix[-2::-1])
+    return np.multiply(prefix, suffix, out=prefix)
+
+
 class KernelDensityEstimator:
     """Product-kernel density model over a data sample.
 
@@ -99,7 +124,7 @@ class KernelDensityEstimator:
             raise ValueError("sample contains non-finite values")
         self._sample = sample
         if isinstance(kernel, (str, Kernel)):
-            self._kernels = tuple([get_kernel(kernel)] * sample.shape[1])
+            self._set_kernels([get_kernel(kernel)] * sample.shape[1])
         else:
             kernels = tuple(get_kernel(k) for k in kernel)
             if len(kernels) != sample.shape[1]:
@@ -107,7 +132,7 @@ class KernelDensityEstimator:
                     f"need one kernel per dimension ({sample.shape[1]}), "
                     f"got {len(kernels)}"
                 )
-            self._kernels = kernels
+            self._set_kernels(kernels)
         self._bandwidth_epoch = 0
         self._sample_epoch = 0
         self._metrics = metrics
@@ -152,6 +177,10 @@ class KernelDensityEstimator:
     def kernel_for(self, dimension: int) -> Kernel:
         """The kernel applied along ``dimension``."""
         return self._kernels[dimension]
+
+    def _set_kernels(self, kernels: Sequence[Kernel]) -> None:
+        self._kernels = tuple(kernels)
+        self._kernel_columns = _columns_by_kernel(self._kernels)
 
     @property
     def bandwidth(self) -> np.ndarray:
@@ -652,23 +681,11 @@ class KernelDensityEstimator:
         self._check_query(query)
         if dimension_masses is None:
             dimension_masses = self.dimension_masses(query)
-        s, d = dimension_masses.shape
-        grad = np.empty(d, dtype=np.float64)
-        # Product over all dimensions except i, computed stably even when
-        # individual factors are zero (prefix/suffix products).
-        prefix = np.ones((s, d + 1), dtype=np.float64)
-        suffix = np.ones((s, d + 1), dtype=np.float64)
-        for j in range(d):
-            prefix[:, j + 1] = prefix[:, j] * dimension_masses[:, j]
-        for j in range(d - 1, -1, -1):
-            suffix[:, j] = suffix[:, j + 1] * dimension_masses[:, j]
-        for i in range(d):
-            others = prefix[:, i] * suffix[:, i + 1]
-            dmass = self._kernels[i].interval_mass_grad(
-                query.low[i], query.high[i], self._sample[:, i], self._bandwidth[i]
-            )
-            grad[i] = float((dmass * others).mean())
-        return grad
+        dmass = self._kernel_terms(
+            "interval_mass_grad", query, self._bandwidth[:, None]
+        )
+        dmass *= _leave_one_out_products(dimension_masses)
+        return dmass.mean(axis=1)
 
     def dimension_masses(self, query: Box) -> np.ndarray:
         """``(s, d)`` matrix of per-dimension interval masses for ``query``.
@@ -678,12 +695,29 @@ class KernelDensityEstimator:
         retained temporary buffer of Section 5.4).
         """
         self._check_query(query)
-        masses = np.empty((self.sample_size, self.dimensions), dtype=np.float64)
-        for j in range(self.dimensions):
-            masses[:, j] = self._kernels[j].interval_mass(
-                query.low[j], query.high[j], self._sample[:, j], self._bandwidth[j]
+        return self._kernel_terms(
+            "interval_mass", query, self._bandwidth[:, None]
+        ).T
+
+    def _kernel_terms(
+        self, method: str, query: Box, bandwidth: np.ndarray
+    ) -> np.ndarray:
+        """``(d, s)`` per-dimension kernel ``method`` terms for ``query``.
+
+        One call per distinct kernel over its whole column block of the
+        sample, gathered as a contiguous ``(k, s)`` block so every numpy
+        loop runs along the sample; bounds and ``bandwidth`` (``(d, 1)``,
+        or ``(d, s)`` for per-point bandwidths) broadcast across it.
+        """
+        out = np.empty((self.dimensions, self.sample_size), dtype=np.float64)
+        for kernel, cols in self._kernel_columns:
+            out[cols] = getattr(kernel, method)(
+                query.low[cols, None],
+                query.high[cols, None],
+                self._sample.T[cols],
+                bandwidth[cols],
             )
-        return masses
+        return out
 
     # ------------------------------------------------------------------
     # Sample maintenance hooks
@@ -756,7 +790,7 @@ class KernelDensityEstimator:
                 f"estimator has {self.dimensions}"
             )
         self._sample = np.array(state.sample, dtype=np.float64, copy=True)
-        self._kernels = tuple(get_kernel(name) for name in state.kernels)
+        self._set_kernels([get_kernel(name) for name in state.kernels])
         self._bandwidth = np.array(
             state.bandwidth, dtype=np.float64, copy=True
         )

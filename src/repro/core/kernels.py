@@ -56,6 +56,9 @@ class Kernel:
 
     #: Registry name, set by subclasses.
     name: str = ""
+    #: Whether :meth:`pdf` and :meth:`cdf` exist on a continuous
+    #: standardised axis; discrete kernels provide only the interval forms.
+    continuous: bool = True
 
     # -- standardised kernel -------------------------------------------
     def pdf(self, z: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..geometry import Box
 from .bandwidth import scott_bandwidth
-from .estimator import KernelDensityEstimator
+from .estimator import KernelDensityEstimator, _leave_one_out_products
 from .kernels import Kernel
 
 __all__ = ["VariableKernelDensityEstimator", "abramson_factors"]
@@ -109,19 +109,15 @@ class VariableKernelDensityEstimator(KernelDensityEstimator):
     # ------------------------------------------------------------------
     # Overridden kernels: fold the local factor into the bandwidth.
     # ------------------------------------------------------------------
+    def _point_bandwidths(self) -> np.ndarray:
+        """``(d, s)`` effective bandwidths ``h_j * lambda_i``."""
+        return np.outer(self._bandwidth, self._local_factors)
+
     def dimension_masses(self, query: Box) -> np.ndarray:
         self._check_query(query)
-        masses = np.empty((self.sample_size, self.dimensions), dtype=np.float64)
-        sample = self.sample
-        bandwidth = self.bandwidth
-        for j in range(self.dimensions):
-            masses[:, j] = self.kernel_for(j).interval_mass(
-                query.low[j],
-                query.high[j],
-                sample[:, j],
-                self._local_factors * bandwidth[j],
-            )
-        return masses
+        return self._kernel_terms(
+            "interval_mass", query, self._point_bandwidths()
+        ).T
 
     def contributions(self, query: Box) -> np.ndarray:
         return np.prod(self.dimension_masses(query), axis=1)
@@ -137,26 +133,12 @@ class VariableKernelDensityEstimator(KernelDensityEstimator):
         self._check_query(query)
         if dimension_masses is None:
             dimension_masses = self.dimension_masses(query)
-        s, d = dimension_masses.shape
-        sample = self.sample
-        bandwidth = self.bandwidth
-        prefix = np.ones((s, d + 1), dtype=np.float64)
-        suffix = np.ones((s, d + 1), dtype=np.float64)
-        for j in range(d):
-            prefix[:, j + 1] = prefix[:, j] * dimension_masses[:, j]
-        for j in range(d - 1, -1, -1):
-            suffix[:, j] = suffix[:, j + 1] * dimension_masses[:, j]
-        grad = np.empty(d, dtype=np.float64)
-        for i in range(d):
-            others = prefix[:, i] * suffix[:, i + 1]
-            dmass = self.kernel_for(i).interval_mass_grad(
-                query.low[i],
-                query.high[i],
-                sample[:, i],
-                self._local_factors * bandwidth[i],
-            )
-            grad[i] = float((self._local_factors * dmass * others).mean())
-        return grad
+        dmass = self._kernel_terms(
+            "interval_mass_grad", query, self._point_bandwidths()
+        )
+        dmass *= self._local_factors
+        dmass *= _leave_one_out_products(dimension_masses)
+        return dmass.mean(axis=1)
 
     def density(self, points: np.ndarray) -> np.ndarray:
         """Pointwise density with per-point bandwidths."""

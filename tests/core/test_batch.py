@@ -80,6 +80,11 @@ class TestQueryBatch:
 # ----------------------------------------------------------------------
 # Batched estimator paths vs the per-query loops
 # ----------------------------------------------------------------------
+#: Mixed per-dimension kernels: the per-query paths evaluate the two
+#: (non-adjacent) Gaussian columns as one column block.
+MIXED_KERNELS = ["gaussian", "ordered_discrete", "gaussian"]
+
+
 def _make_queries(data, rng, count=12):
     queries = random_data_centered_queries(data, count - 2, rng)
     # Include degenerate (zero-width) and far-out empty queries.
@@ -100,7 +105,10 @@ class TestBatchEquivalence:
         looped = np.array([kde.selectivity(q) for q in queries])
         np.testing.assert_allclose(batched, looped, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    @pytest.mark.parametrize(
+        "kernel",
+        ["gaussian", "epanechnikov", pytest.param(MIXED_KERNELS, id="mixed")],
+    )
     def test_gradient_batch_matches_loop(self, small_sample, rng, kernel):
         kde = KernelDensityEstimator(
             small_sample, scott_bandwidth(small_sample), kernel
@@ -120,17 +128,22 @@ class TestBatchEquivalence:
         )
 
     def test_contributions_and_masses_match_loop(self, small_sample, rng):
-        kde = KernelDensityEstimator(small_sample, scott_bandwidth(small_sample))
         queries = _make_queries(small_sample, rng)
-        batched_masses = kde.dimension_masses_batch(queries)
-        batched_contrib = kde.contributions_batch(queries)
-        for index, query in enumerate(queries):
-            np.testing.assert_allclose(
-                batched_masses[index], kde.dimension_masses(query), atol=1e-15
+        for kernel in ("gaussian", MIXED_KERNELS):
+            kde = KernelDensityEstimator(
+                small_sample, scott_bandwidth(small_sample), kernel
             )
-            np.testing.assert_allclose(
-                batched_contrib[index], kde.contributions(query), atol=1e-13
-            )
+            batched_masses = kde.dimension_masses_batch(queries)
+            batched_contrib = kde.contributions_batch(queries)
+            for index, query in enumerate(queries):
+                np.testing.assert_allclose(
+                    batched_masses[index],
+                    kde.dimension_masses(query),
+                    atol=1e-15,
+                )
+                np.testing.assert_allclose(
+                    batched_contrib[index], kde.contributions(query), atol=1e-13
+                )
 
     def test_chunked_path_matches_unchunked(self, small_sample, rng, monkeypatch):
         # Force a tiny chunk so the loop boundary logic is exercised.

@@ -30,6 +30,7 @@ from repro.core.backends import (
     available_backends,
     get_backend,
 )
+from repro.core.kernels import GaussianKernel
 from repro.geometry import Box, QueryBatch
 from repro.obs import MetricsRegistry
 
@@ -163,6 +164,80 @@ class TestGridEquivalence:
             rtol=0,
             atol=1e-12,
         )
+
+
+# ----------------------------------------------------------------------
+# Grid: table build
+# ----------------------------------------------------------------------
+class _CountingGaussian(GaussianKernel):
+    """Gaussian kernel counting the points its CDF is evaluated on."""
+
+    name = "counting-gaussian"
+
+    def __init__(self) -> None:
+        self.points = 0
+
+    def cdf(self, z):
+        self.points += np.size(z)
+        return super().cdf(z)
+
+
+class TestGridBuild:
+    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    @pytest.mark.parametrize("grid_size", [2, 3, 17, 1024])
+    def test_tables_match_dense_contraction(self, rng, kernel, grid_size):
+        """The convolution build equals the (G x G) CDF-matrix product."""
+        sample = rng.normal(size=(3000, 3)) * [1.0, 3.0, 0.0] + [0.0, 2.0, 1.5]
+        bandwidth = np.array([0.3, 0.8, 0.2])
+        grid = GridBackend(grid_size=grid_size)
+        kde = KernelDensityEstimator(
+            sample, bandwidth, kernel=kernel, backend=grid
+        )
+        grid.warm()
+        for j in range(3):  # the last column is constant
+            axis = grid._knots[j]
+            step = (axis[-1] - axis[0]) / (grid_size - 1)
+            cells = np.clip(
+                np.rint((sample[:, j] - axis[0]) / step).astype(np.intp),
+                0,
+                grid_size - 1,
+            )
+            weights = np.bincount(cells, minlength=grid_size) / len(sample)
+            z = (axis[:, None] - axis[None, :]) / bandwidth[j]
+            dense = kde.kernels[j].cdf(z) @ weights
+            np.maximum.accumulate(dense, out=dense)
+            np.clip(dense, 0.0, 1.0, out=dense)
+            np.testing.assert_allclose(
+                grid._tables[j], dense, rtol=0, atol=1e-13
+            )
+
+    def test_build_evaluates_cdf_at_knot_offsets_only(self, rng):
+        """One build costs (2G - 1) CDF points per dimension, not G x s."""
+        kernel = _CountingGaussian()
+        sample = rng.normal(size=(2000, 3))
+        kde = _make(sample, GridBackend(grid_size=64), kernel=kernel)
+        kernel.points = 0
+        kde.backend.warm()
+        assert kernel.points == (2 * 64 - 1) * 3
+        kde.selectivity_batch(_independent_batch(rng, 3, queries=5))
+        assert kernel.points == (2 * 64 - 1) * 3  # tables reused
+
+    def test_bind_rejects_discrete_kernel(self, rng):
+        """A discrete kernel has no CDF to tabulate: fail at bind time."""
+        sample = np.column_stack(
+            [rng.normal(size=500), rng.integers(0, 5, size=500)]
+        )
+        kernels = ["gaussian", "ordered_discrete"]
+        with pytest.raises(ValueError, match="dimension 1.*ordered_discrete"):
+            KernelDensityEstimator(
+                sample, [0.3, 0.5], kernel=kernels, backend="grid"
+            )
+        kde = KernelDensityEstimator(sample, [0.3, 0.5], kernel=kernels)
+        with pytest.raises(ValueError, match="dimension 1.*ordered_discrete"):
+            kde.backend = GridBackend()
+        assert kde.backend.name == "numpy"
+        batch = QueryBatch.from_boxes([Box((-1.0, 1.0), (1.0, 3.0))])
+        assert 0.0 < kde.selectivity_batch(batch)[0] < 1.0
 
 
 # ----------------------------------------------------------------------
