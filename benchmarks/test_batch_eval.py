@@ -11,8 +11,9 @@ batch instead of once per query.
 The host-side numpy evaluation is also benchmarked (informationally —
 no timing assertion, wall clock on shared machines is too noisy).  Its
 speedup is bounded by erf throughput: both paths evaluate the same
-``2 q s d`` Gaussian CDFs, so batching can only shave the per-query
-Python and dispatch overhead.
+Gaussian CDFs (``2 d`` per (query, row) pair within the kernel support
+of the box), so batching can only shave the per-query Python and
+dispatch overhead.
 """
 
 import numpy as np
@@ -95,9 +96,10 @@ def test_batched_at_least_5x_faster_on_device_clock(setup):
 def test_numpy_wallclock_batched(setup, benchmark):
     """Host-side wall clock of the batched numpy path (informational).
 
-    Both numpy paths are bound by the same ``2 q s d`` erf evaluations,
-    so batching only shaves the per-query Python overhead (~1.1-1.5x
-    depending on machine noise); compare against
+    Both numpy paths run the same support-pruned kernel: a comparison
+    mask over ``q s d`` sample values, then ``2 d`` erf evaluations per
+    alive (query, row) pair — the same pairs either way — so batching
+    only shaves the per-query Python overhead; compare against
     :func:`test_numpy_wallclock_looped` in the benchmark table.  The
     hard speedup assertion lives on the deterministic modelled clock.
     """

@@ -35,10 +35,11 @@ class BackendStats:
     cache_misses: int = 0
     cache_evictions: int = 0
     #: Sample rows whose kernel terms were actually evaluated on the
-    #: selectivity path.  The reference backends touch ``s`` rows per
-    #: query; the sublinear backends (``grid``, ``hashing``) touch fewer
-    #: — this counter is how that sublinearity is *observed* rather than
-    #: asserted.  Backends that never report it leave it at zero.
+    #: selectivity path.  ``numpy`` touches the rows within the kernel
+    #: support of each box (all ``s`` at wide bandwidths); the sublinear
+    #: backends (``grid``, ``hashing``) touch fewer — this counter is how
+    #: that saving is *observed* rather than asserted.  Backends that
+    #: never report it leave it at zero.
     rows_touched: int = 0
     builds: int = 0
     invalidations: Dict[str, int] = field(default_factory=dict)

@@ -1,12 +1,16 @@
 """The reference single-thread numpy backend.
 
-This is the seed evaluation strategy, factored behind the
+The reference evaluation strategy behind the
 :class:`~repro.core.backends.base.ExecutionBackend` contract: chunked
-``(b, s)`` whole-array numpy blocks, sized by the chunk-budget policy of
-:mod:`repro.core.chunking` so the working set stays cache-resident.  It
-delegates to the estimator's reference block helpers, so its results are
-bitwise identical to the seed per-query loop (same factors, same
-multiplication order, same reductions).
+``(b, s)`` blocks, sized by the chunk-budget policy of
+:mod:`repro.core.chunking`.  Each block is the shared Eq. (13) kernel
+:func:`~repro.core.kernels.contribution_block`: a cheap comparison mask
+over the ``s x d`` column-major sample marks the rows within each
+kernel's support of the box, and kernel terms are evaluated on those
+rows only — every other row's contribution is exactly ``0.0``.  Results
+are bitwise identical to evaluating every row (same factors, same
+multiplication order, same reductions); ``stats.rows_touched`` counts
+the rows actually evaluated.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ class NumpyBackend(ExecutionBackend):
             stop = min(low.shape[0], start + chunk)
             out[start:stop] = estimator._contribution_block(
                 low[start:stop], high[start:stop]
-            )
+            )[0]
         return out
 
     def selectivity_block(
@@ -46,14 +50,17 @@ class NumpyBackend(ExecutionBackend):
     ) -> np.ndarray:
         estimator = self.estimator
         self._count(low.shape[0])
-        self._count_rows_touched(low.shape[0] * estimator.sample_size)
         out = np.empty(low.shape[0], dtype=np.float64)
+        touched = 0
         chunk = estimator._batch_chunk()
         for start in range(0, low.shape[0], chunk):
             stop = min(low.shape[0], start + chunk)
-            out[start:stop] = estimator._contribution_block(
+            block, evaluated = estimator._contribution_block(
                 low[start:stop], high[start:stop]
-            ).mean(axis=1)
+            )
+            out[start:stop] = block.mean(axis=1)
+            touched += evaluated
+        self._count_rows_touched(touched)
         return out
 
     def masses_block(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:

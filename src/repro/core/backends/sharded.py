@@ -56,6 +56,7 @@ from ...faults.retry import RetryPolicy
 from ...obs.metrics import get_registry
 from ...obs.spans import SpanContext, current_span_context
 from ..chunking import get_chunk_budget
+from ..kernels import contribution_block
 from .base import ExecutionBackend
 
 __all__ = [
@@ -98,11 +99,15 @@ _WORKER_SHM: Optional[shared_memory.SharedMemory] = None
 _WORKER_SAMPLE: Optional[np.ndarray] = None
 
 
-def _attach_worker(shm_name: str, shape: Tuple[int, ...], dtype: str) -> None:
+def _attach_worker(
+    shm_name: str, shape: Tuple[int, ...], dtype: str, order: str
+) -> None:
     """Pool initializer: map the shared sample segment read-only-by-convention."""
     global _WORKER_SHM, _WORKER_SAMPLE
     _WORKER_SHM = shared_memory.SharedMemory(name=shm_name)
-    _WORKER_SAMPLE = np.ndarray(shape, dtype=np.dtype(dtype), buffer=_WORKER_SHM.buf)
+    _WORKER_SAMPLE = np.ndarray(
+        shape, dtype=np.dtype(dtype), buffer=_WORKER_SHM.buf, order=order
+    )
 
 
 def _run_shard(
@@ -142,17 +147,6 @@ def _run_shard_traced(
     return result, path, time.perf_counter() - started
 
 
-def _fold_contribution_block(shard, low, high, bandwidth, kernels):
-    """``(b, shard)`` contribution block for one query chunk (Eq. 13)."""
-    block = None
-    for j in range(low.shape[1]):
-        masses = kernels[j].interval_mass(
-            low[:, j, None], high[:, j, None], shard[None, :, j], bandwidth[j]
-        )
-        block = masses if block is None else np.multiply(block, masses, out=block)
-    return block
-
-
 def _shard_contribution_sums(sample, start, stop, payload):
     """Phase one of estimate+sum: per-query partial contribution sums."""
     low, high, bandwidth, kernels, budget = payload
@@ -162,7 +156,7 @@ def _shard_contribution_sums(sample, start, stop, payload):
     chunk = max(1, budget // max(1, shard.shape[0] * d))
     for qs in range(0, b, chunk):
         qe = min(b, qs + chunk)
-        block = _fold_contribution_block(
+        block, _ = contribution_block(
             shard, low[qs:qe], high[qs:qe], bandwidth, kernels
         )
         out[qs:qe] = block.sum(axis=1)
@@ -178,9 +172,9 @@ def _shard_contribution_slab(sample, start, stop, payload):
     chunk = max(1, budget // max(1, shard.shape[0] * d))
     for qs in range(0, b, chunk):
         qe = min(b, qs + chunk)
-        out[qs:qe] = _fold_contribution_block(
+        out[qs:qe] = contribution_block(
             shard, low[qs:qe], high[qs:qe], bandwidth, kernels
-        )
+        )[0]
     return out
 
 
@@ -359,11 +353,14 @@ class ShardedSampleExecutor:
                     registry.counter("executor.republications").inc()
             return
         self.close()
+        # Mirror the host layout: a column-major estimator sample keeps
+        # contiguous columns in every worker's row shard.
+        order = "F" if np.isfortran(sample) else "C"
         shm = shared_memory.SharedMemory(create=True, size=sample.nbytes)
         view = None
         try:
             view = np.ndarray(
-                sample.shape, dtype=sample.dtype, buffer=shm.buf
+                sample.shape, dtype=sample.dtype, buffer=shm.buf, order=order
             )
             np.copyto(view, sample)
             method = self._start_method or _start_method()
@@ -371,7 +368,7 @@ class ShardedSampleExecutor:
                 max_workers=self.max_workers,
                 mp_context=get_context(method),
                 initializer=_attach_worker,
-                initargs=(shm.name, sample.shape, sample.dtype.str),
+                initargs=(shm.name, sample.shape, sample.dtype.str, order),
             )
         except BaseException:
             # Pool startup can fail after the segment exists (bad start
@@ -475,7 +472,7 @@ class ShardedSampleExecutor:
         if spec is None:
             return None
         if spec.kind == "corrupt" and self._view is not None:
-            self._view.reshape(-1)[:] = np.inf  # publication guard repairs
+            self._view[...] = np.inf  # publication guard repairs
             return None
         if spec.kind == "detach":
             self._resurrect()

@@ -24,7 +24,7 @@ estimate and the feedback step (Section 5.4).
 from __future__ import annotations
 
 import warnings
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from ..obs.spans import span
 from ..obs.trace import EstimationTrace
 from . import chunking
 from .backends import ExecutionBackend, resolve_backend
-from .kernels import Kernel, get_kernel
+from .kernels import Kernel, contribution_block, get_kernel
 from .state import ModelState
 
 __all__ = ["KernelDensityEstimator"]
@@ -78,8 +78,10 @@ class KernelDensityEstimator:
     Parameters
     ----------
     sample:
-        ``(s, d)`` array of sampled tuples.  A copy is stored; the sample
-        is mutable through :meth:`replace_rows` (sample maintenance).
+        ``(s, d)`` array of sampled tuples.  A column-major copy is
+        stored, so each dimension streams contiguously through the kernel
+        loops; the sample is mutable through :meth:`replace_rows`
+        (sample maintenance).
     bandwidth:
         Per-dimension bandwidth vector ``(d,)``; all entries must be
         strictly positive (the constraint of optimisation problem (5)).
@@ -115,7 +117,7 @@ class KernelDensityEstimator:
         backend: Union[str, ExecutionBackend, None] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        sample = np.array(sample, dtype=np.float64, copy=True)
+        sample = np.array(sample, dtype=np.float64, copy=True, order="F")
         if sample.ndim != 2:
             raise ValueError("sample must be a two-dimensional (s, d) array")
         if sample.shape[0] == 0:
@@ -263,12 +265,10 @@ class KernelDensityEstimator:
         selectivity estimate is its mean (Eq. 2).
         """
         self._check_query(query)
-        result = np.ones(self.sample_size, dtype=np.float64)
-        for j in range(self.dimensions):
-            result *= self._kernels[j].interval_mass(
-                query.low[j], query.high[j], self._sample[:, j], self._bandwidth[j]
-            )
-        return result
+        block, _ = self._contribution_block(
+            query.low[None, :], query.high[None, :]
+        )
+        return block[0]
 
     def selectivity(self, query: Box) -> float:
         """Selectivity estimate for ``query``: mean per-point contribution."""
@@ -431,29 +431,19 @@ class KernelDensityEstimator:
 
     def _contribution_block(
         self, low_block: np.ndarray, high_block: np.ndarray
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, int]:
         """``(b, s)`` per-point contributions for a bound block.
 
-        Accumulates the per-dimension mass product without materialising
-        the ``(b, s, d)`` tensor: each dimension's ``(b, s)`` mass block
-        is folded into the running product as soon as it is computed.
-        The result is bitwise identical to reducing the tensor of
-        :meth:`_masses_block` (same factors, same multiplication order),
-        but the working set stays at two cache-sized blocks.
+        Returns ``(block, evaluated)`` from the shared Eq. (13) kernel
+        :func:`~repro.core.kernels.contribution_block`: only rows within
+        each kernel's support of the box get kernel terms, the rest are
+        exactly ``0.0``, and the block is bitwise identical to the dense
+        product over every row.
         """
-        block: Optional[np.ndarray] = None
-        for j in range(self.dimensions):
-            masses = self._kernels[j].interval_mass(
-                low_block[:, j, None],
-                high_block[:, j, None],
-                self._sample[None, :, j],
-                self._bandwidth[j],
-            )
-            block = masses if block is None else np.multiply(
-                block, masses, out=block
-            )
-        assert block is not None
-        return block
+        return contribution_block(
+            self._sample, low_block, high_block, self._bandwidth,
+            self._kernels,
+        )
 
     def dimension_masses_batch(
         self, queries: Union[QueryBatch, Sequence[Box]]
@@ -739,6 +729,8 @@ class KernelDensityEstimator:
             indices.min() < 0 or indices.max() >= self.sample_size
         ):
             raise IndexError("replacement index out of range")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("replacement rows contain non-finite values")
         self._sample[indices] = rows
         self._sample_epoch += 1
         if self._backend is not None:
@@ -789,7 +781,10 @@ class KernelDensityEstimator:
                 f"state has {state.dimensions} dimensions, "
                 f"estimator has {self.dimensions}"
             )
-        self._sample = np.array(state.sample, dtype=np.float64, copy=True)
+        sample = np.array(state.sample, dtype=np.float64, copy=True, order="F")
+        if not np.all(np.isfinite(sample)):
+            raise ValueError("state sample contains non-finite values")
+        self._sample = sample
         self._set_kernels([get_kernel(name) for name in state.kernels])
         self._bandwidth = np.array(
             state.bandwidth, dtype=np.float64, copy=True

@@ -20,6 +20,11 @@ library needs:
     Partial derivative of that factor with respect to the bandwidth ``h``
     — the per-dimension building block of the gradient Eq. (17).
 
+plus a ``support`` constant: the standardised radius beyond which
+``cdf`` is exactly 0 or 1 in float64.  :func:`contribution_block`, the
+one Eq. (13) product every exact backend evaluates, uses it to skip
+sample rows whose contribution is exactly ``0.0``.
+
 The Gaussian kernel is the paper's primary choice (Eq. 9); the
 Epanechnikov kernel is the alternative discussed in Section 3.1.2 and
 Appendix A.
@@ -28,7 +33,7 @@ Appendix A.
 from __future__ import annotations
 
 import math
-from typing import Dict, Type, Union
+from typing import Dict, Sequence, Tuple, Type, Union
 
 import numpy as np
 from scipy.special import erf
@@ -37,6 +42,7 @@ __all__ = [
     "Kernel",
     "GaussianKernel",
     "EpanechnikovKernel",
+    "contribution_block",
     "get_kernel",
     "register_kernel",
 ]
@@ -59,6 +65,12 @@ class Kernel:
     #: Whether :meth:`pdf` and :meth:`cdf` exist on a continuous
     #: standardised axis; discrete kernels provide only the interval forms.
     continuous: bool = True
+    #: Standardised radius beyond which :meth:`cdf` is exactly 0 (below
+    #: ``-support``) or exactly 1 (above ``support``) in float64, so a
+    #: point more than ``support * h`` outside an interval has interval
+    #: mass exactly ``0.0``.  ``inf`` means the mass is never exactly
+    #: zero and rows are never skipped on this kernel's dimensions.
+    support: float = math.inf
 
     # -- standardised kernel -------------------------------------------
     def pdf(self, z: np.ndarray) -> np.ndarray:
@@ -123,6 +135,9 @@ class GaussianKernel(Kernel):
     """
 
     name = "gaussian"
+    #: ``erf`` rounds to exactly +-1 beyond 5.92, i.e. ``cdf`` saturates
+    #: at ``|z| = 8.37``; 9 leaves 0.6 bandwidths for threshold rounding.
+    support = 9.0
 
     def pdf(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
@@ -143,6 +158,9 @@ class EpanechnikovKernel(Kernel):
     """
 
     name = "epanechnikov"
+    #: ``cdf`` clips to exactly 0/1 at ``|z| = 1``; the hair of margin
+    #: absorbs the rounding of the ``low - support * h`` threshold.
+    support = 1.0 + 1e-9
 
     def pdf(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
@@ -153,6 +171,63 @@ class EpanechnikovKernel(Kernel):
         z = np.asarray(z, dtype=np.float64)
         zc = np.clip(z, -1.0, 1.0)
         return (3.0 * zc - zc ** 3 + 2.0) / 4.0
+
+
+def contribution_block(
+    columns: np.ndarray,
+    low: np.ndarray,
+    high: np.ndarray,
+    bandwidth: np.ndarray,
+    kernels: Sequence[Kernel],
+) -> Tuple[np.ndarray, int]:
+    """``(b, s)`` Eq. (13) contributions and the number evaluated.
+
+    ``columns`` is the ``(s, d)`` sample (column-major, so every
+    dimension streams contiguously); ``low``/``high`` are ``(b, d)``
+    bounds.  A row is *alive* for a query when, in every dimension, it
+    lies within ``support * h_j`` of ``[low_j, high_j]``; every other
+    row has a factor that is exactly ``0.0`` in float64, so its kernel
+    terms are skipped and it stays ``0.0`` in the zeroed block.  The
+    factors of the alive (query, row) pairs are gathered, multiplied in
+    dimension order as in the dense product and scattered back, so the
+    block — and any mean over it — is bitwise identical to evaluating
+    every row.
+
+    Returns ``(block, evaluated)``, where ``evaluated`` counts the alive
+    (query, row) pairs, whose kernel terms were computed.
+    """
+    b = low.shape[0]
+    s = columns.shape[0]
+    alive = np.ones((b, s), dtype=bool)
+    scratch = np.empty((b, s), dtype=bool)
+    for j, kernel in enumerate(kernels):
+        if math.isinf(kernel.support):
+            continue
+        reach = kernel.support * bandwidth[j]
+        column = columns[:, j]
+        np.greater_equal(column, (low[:, j] - reach)[:, None], out=scratch)
+        alive &= scratch
+        np.less_equal(column, (high[:, j] + reach)[:, None], out=scratch)
+        alive &= scratch
+    # A NaN bound makes every factor of its query NaN; never skip those.
+    alive[np.isnan(low).any(axis=1) | np.isnan(high).any(axis=1)] = True
+    # Flat indices run query by query, so each query's bounds repeat
+    # over its own run of alive rows.
+    pairs = np.flatnonzero(alive)
+    per_query = np.count_nonzero(alive, axis=1)
+    rows = pairs - np.repeat(np.arange(b) * s, per_query)
+    # ``1.0 * x == x`` exactly, so starting from ones changes no bit.
+    product = np.ones(pairs.size, dtype=np.float64)
+    for j, kernel in enumerate(kernels):
+        product *= kernel.interval_mass(
+            np.repeat(low[:, j], per_query),
+            np.repeat(high[:, j], per_query),
+            columns[:, j].take(rows),
+            bandwidth[j],
+        )
+    block = np.zeros((b, s), dtype=np.float64)
+    np.put(block, pairs, product)
+    return block, int(pairs.size)
 
 
 _REGISTRY: Dict[str, Kernel] = {}

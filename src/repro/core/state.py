@@ -186,7 +186,9 @@ class ModelState:
                 f"unknown model-state kind {self.kind!r}; "
                 f"known kinds: {', '.join(KNOWN_KINDS)}"
             )
-        sample = np.array(self.sample, copy=True)
+        # Row-major whatever the producer's layout, so checkpoint bytes
+        # do not depend on how an estimator stores its sample.
+        sample = np.array(self.sample, copy=True, order="C")
         if sample.ndim != 2 or sample.shape[0] == 0:
             raise ValueError("state sample must be a non-empty (s, d) array")
         bandwidth = np.array(self.bandwidth, dtype=np.float64, copy=True)
